@@ -67,9 +67,9 @@
 //
 // Flags (before the subcommand):
 //
-//	-trace out.json     record structured trace events during the run and
-//	                    write them as Chrome trace_event JSON (open in
-//	                    chrome://tracing or Perfetto)
+//	-trace out.json     after the run, write the obs span rings (control-plane
+//	                    spans and monitor events) as Chrome trace_event JSON
+//	                    (open in chrome://tracing or Perfetto)
 package main
 
 import (
@@ -81,20 +81,21 @@ import (
 	"text/tabwriter"
 
 	"socksdirect/internal/experiments"
+	"socksdirect/internal/obs"
 	"socksdirect/internal/telemetry"
-	"socksdirect/internal/trace"
 )
 
-func main() {
-	traceOut := flag.String("trace", "", "write Chrome trace_event JSON of the run to this file")
-	flag.Parse()
-	args := flag.Args()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes one sdbench invocation and returns its exit code.
+func run(argv []string) int {
+	fs := flag.NewFlagSet("sdbench", flag.ExitOnError)
+	traceOut := fs.String("trace", "", "write Chrome trace_event JSON of the run to this file")
+	fs.Parse(argv)
+	args := fs.Args()
 	cmd := "all"
 	if len(args) > 0 {
 		cmd = args[0]
-	}
-	if *traceOut != "" {
-		telemetry.EnableTracing()
 	}
 	cmds := map[string]func(){
 		"table2":    table2,
@@ -137,13 +138,17 @@ func main() {
 		fn, ok := cmds[cmd]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)
-			os.Exit(2)
+			return 2
 		}
 		fn()
 	}
 	if *traceOut != "" {
-		writeTrace(*traceOut)
+		d := obs.ForceDump(obs.TrigManual, 0, "sdbench -trace "+cmd)
+		if writeDump(*traceOut, d) != nil {
+			return 1
+		}
 	}
+	return 0
 }
 
 // stats runs the named experiments (default table2) and then dumps every
@@ -202,21 +207,6 @@ func printDeltas(title string, d telemetry.Snapshot) {
 	fmt.Print(filtered.Format(true))
 }
 
-func writeTrace(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := telemetry.Trace.WriteChrome(f); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (%d dropped)\n",
-		telemetry.Trace.Len(), path, telemetry.Trace.Dropped())
-}
-
 func table2() {
 	before := telemetry.Capture()
 	fmt.Print(experiments.RenderTable2(experiments.Table2()))
@@ -242,19 +232,19 @@ func mops(v float64) string { return fmt.Sprintf("%.2f M/s", v) }
 
 func fig7() {
 	tput, lat := experiments.Fig7()
-	fmt.Print(trace.RenderFigure("Figure 7a: intra-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
+	fmt.Print(experiments.RenderFigure("Figure 7a: intra-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
 	fmt.Println("paper: SD 8B ~1.5 Gbps (23 M msg/s), 1MiB saturates memory; Linux 8B ~0.07 Gbps")
 	fmt.Println()
-	fmt.Print(trace.RenderFigure("Figure 7b: intra-host latency", "size(B)", sizesAxis(), lat, us))
+	fmt.Print(experiments.RenderFigure("Figure 7b: intra-host latency", "size(B)", sizesAxis(), lat, us))
 	fmt.Println("paper: SD 0.3 us @8B vs Linux 11 us (35x); RSocket ~1.8 us (hairpin)")
 }
 
 func fig8() {
 	tput, lat := experiments.Fig8()
-	fmt.Print(trace.RenderFigure("Figure 8a: inter-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
+	fmt.Print(experiments.RenderFigure("Figure 8a: inter-host single-core throughput", "size(B)", sizesAxis(), tput, gbps))
 	fmt.Println("paper: SD saturates 100G at >=16KiB (zero copy); 3.5x compared systems")
 	fmt.Println()
-	fmt.Print(trace.RenderFigure("Figure 8b: inter-host latency", "size(B)", sizesAxis(), lat, us))
+	fmt.Print(experiments.RenderFigure("Figure 8b: inter-host latency", "size(B)", sizesAxis(), lat, us))
 	fmt.Println("paper: SD 1.7 us @8B ~= raw RDMA 1.6 us; Linux 30 us (17x)")
 }
 
@@ -262,18 +252,18 @@ func fig9() {
 	cores := []float64{1, 2, 4, 8, 16}
 	coreList := []int{1, 2, 4, 8, 16}
 	intra := experiments.Fig9(true, coreList)
-	fmt.Print(trace.RenderFigure("Figure 9a: intra-host 8B throughput vs cores", "cores", cores, intra, mops))
+	fmt.Print(experiments.RenderFigure("Figure 9a: intra-host 8B throughput vs cores", "cores", cores, intra, mops))
 	fmt.Println("paper: SD scales linearly to 306 M msg/s @16 cores (40x Linux); LibVMA collapses >1 core")
 	fmt.Println()
 	inter := experiments.Fig9(false, coreList)
-	fmt.Print(trace.RenderFigure("Figure 9b: inter-host 8B throughput vs cores", "cores", cores, inter, mops))
+	fmt.Print(experiments.RenderFigure("Figure 9b: inter-host 8B throughput vs cores", "cores", cores, inter, mops))
 	fmt.Println("paper: SD 276 M msg/s @16 cores with batching; without batching 62 M (60% of RDMA)")
 }
 
 func fig10() {
 	procs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	s := experiments.Fig10([]int{1, 2, 3, 4, 5, 6, 7, 8})
-	fmt.Print(trace.RenderFigure("Figure 10: 8B RTT vs processes sharing one core", "procs", procs, []*trace.Series{s}, us))
+	fmt.Print(experiments.RenderFigure("Figure 10: 8B RTT vs processes sharing one core", "procs", procs, []*experiments.Series{s}, us))
 	fmt.Println("paper: latency grows ~linearly with sharers but stays 1/20-1/30 of Linux")
 }
 
@@ -283,14 +273,14 @@ func fig11() {
 		xs[i] = float64(s)
 	}
 	series := experiments.Fig11()
-	fmt.Print(trace.RenderFigure("Figure 11: HTTP request latency vs response size", "resp(B)", xs, series, us))
+	fmt.Print(experiments.RenderFigure("Figure 11: HTTP request latency vs response size", "resp(B)", xs, series, us))
 	fmt.Println("paper: SocksDirect cuts Nginx latency 5.5x (small responses) to 20x (large, zero copy)")
 }
 
 func fig12() {
 	stages := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	series := experiments.Fig12([]int{1, 2, 3, 4, 5, 6, 7, 8})
-	fmt.Print(trace.RenderFigure("Figure 12: NF pipeline throughput vs stages", "stages", stages, series, mops))
+	fmt.Print(experiments.RenderFigure("Figure 12: NF pipeline throughput vs stages", "stages", stages, series, mops))
 	fmt.Println("paper: SD 15-20x Linux pipe/TCP, close to NetBricks")
 }
 

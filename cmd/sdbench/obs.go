@@ -156,12 +156,14 @@ func obssmokeCmd(args []string) {
 	// The smoke's rings are still live: snapshot them as the connect-trace
 	// artifact before the drill resets the obs state.
 	connTrace := obs.ForceDump(obs.TrigManual, smoke.RunNs, "obssmoke connect trace")
-	writeDump(filepath.Join(*outDir, "sd-obssmoke-connect.trace.json"), connTrace)
+	if writeDump(filepath.Join(*outDir, "sd-obssmoke-connect.trace.json"), connTrace) != nil {
+		os.Exit(1)
+	}
 
 	drill := experiments.ObsRetryDrill(30, 1024)
 	fmt.Println(drill)
-	if drill.Dumps > 0 {
-		writeDump(filepath.Join(*outDir, "sd-obssmoke-recorder.trace.json"), drill.Dump)
+	if drill.Dumps > 0 && writeDump(filepath.Join(*outDir, "sd-obssmoke-recorder.trace.json"), drill.Dump) != nil {
+		os.Exit(1)
 	}
 
 	if !smoke.Passed() || !drill.Passed() {
@@ -169,31 +171,27 @@ func obssmokeCmd(args []string) {
 	}
 }
 
-func writeDump(path string, d obs.Dump) {
+// writeDump writes d as Chrome trace_event JSON to path. Failures are
+// reported on stderr and returned.
+func writeDump(path string, d obs.Dump) error {
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obssmoke: %v\n", err)
-		os.Exit(1)
+	if err == nil {
+		err = d.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	defer f.Close()
-	if err := d.WriteChrome(f); err != nil {
-		fmt.Fprintf(os.Stderr, "obssmoke: %v\n", err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdbench: %v\n", err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d flows)\n", path, len(d.Spans), len(d.Flows))
+	return nil
 }
 
 // failureDump ships a flight-recorder artifact when a soak command fails
 // its acceptance bar, so the failing run carries its own evidence.
 func failureDump(name string) {
-	path := fmt.Sprintf("sd-flight-%s-failure.trace.json", name)
 	d := obs.ForceDump(obs.TrigManual, 0, name+" soak failed its acceptance bar")
-	f, err := os.Create(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	if d.WriteChrome(f) == nil {
-		fmt.Fprintf(os.Stderr, "wrote failure evidence to %s\n", path)
-	}
+	_ = writeDump(fmt.Sprintf("sd-flight-%s-failure.trace.json", name), d)
 }

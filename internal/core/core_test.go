@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"socksdirect/internal/core"
 	"socksdirect/internal/costmodel"
@@ -14,6 +16,8 @@ import (
 	"socksdirect/internal/ksocket"
 	"socksdirect/internal/mem"
 	"socksdirect/internal/monitor"
+	"socksdirect/internal/obs"
+	"socksdirect/internal/shm"
 )
 
 // world bundles a two-host SocksDirect deployment plus one non-SD host.
@@ -637,6 +641,62 @@ func TestCloseGivesEOF(t *testing.T) {
 	w.sim.Run()
 	if eofErr != io.EOF {
 		t.Fatalf("want EOF after close, got %v", eofErr)
+	}
+}
+
+// TestClosedSocketReleasesRings: a closed socket's flow row stays in the
+// sdstat table with its counters, but the row must not keep the socket's
+// rings reachable. The flow probe used to pin them until obs.Reset.
+func TestClosedSocketReleasesRings(t *testing.T) {
+	obs.Reset()
+	defer obs.Reset()
+	w := newWorld(t)
+	sp, sl := proc(t, w.a, "server", 0)
+	cp, clib := proc(t, w.a, "client", 0)
+
+	var rings [2]weak.Pointer[shm.Ring]
+	var qid uint64
+	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+		lst, _ := sl.ListenOn(ctx, th, 7010)
+		s, _, err := lst.Accept(ctx)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		rings[0] = weak.Make(core.TXRing(s))
+		buf := make([]byte, 16)
+		s.Recv(ctx, th, buf) // "bye"
+		s.Recv(ctx, th, buf) // EOF
+		s.Close(ctx, th)
+	})
+	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+		ctx.Sleep(10_000)
+		s, _, err := clib.Connect(ctx, th, "hostA", 7010)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		rings[1] = weak.Make(core.TXRing(s))
+		qid = s.QID()
+		s.Send(ctx, th, []byte("bye"))
+		s.Close(ctx, th)
+	})
+	w.sim.Run()
+	runtime.GC()
+
+	for i, wp := range rings {
+		if wp.Value() != nil {
+			t.Errorf("closed socket %d: TX ring still reachable after GC", i)
+		}
+	}
+	closed := 0
+	for _, f := range obs.Flows() {
+		if f.QID == qid && f.State == "closed" {
+			closed++
+		}
+	}
+	if closed != 2 {
+		t.Fatalf("flow table lists %d closed rows for qid %d, want 2: %+v", closed, qid, obs.Flows())
 	}
 }
 

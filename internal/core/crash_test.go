@@ -9,12 +9,16 @@ import (
 	"socksdirect/internal/core"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/host"
+	"socksdirect/internal/obs"
 )
 
 // TestCrashResetBlockedRecv kills the client while the server is parked
 // on an empty ring: the server must wake and see exactly one ECONNRESET,
-// then io.EOF — never hang (the pre-fix behavior).
+// then io.EOF — never hang (the pre-fix behavior). The monitor's
+// crash_cleanup event must land on the dead process's trace track.
 func TestCrashResetBlockedRecv(t *testing.T) {
+	obs.Reset()
+	defer obs.Reset()
 	w := newWorld(t)
 	sp, sl := proc(t, w.a, "server", 0)
 	cp, clib := proc(t, w.a, "client", 0)
@@ -47,6 +51,15 @@ func TestCrashResetBlockedRecv(t *testing.T) {
 	}
 	if secondErr != io.EOF {
 		t.Fatalf("second recv after crash: want io.EOF, got %v", secondErr)
+	}
+	var cleanups []obs.Span
+	for _, sp := range obs.AllSpans() {
+		if sp.Hop == obs.HopEvent && obs.Event(sp.Kind) == obs.EvCrashCleanup {
+			cleanups = append(cleanups, sp)
+		}
+	}
+	if len(cleanups) != 1 || cleanups[0].Host != "hostA" || cleanups[0].PID != int64(cp.PID) {
+		t.Fatalf("crash_cleanup events = %+v, want one on hostA/pid%d", cleanups, cp.PID)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/obs"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // maxInline is the largest chunk sent through the ring as bytes; larger
@@ -154,10 +153,6 @@ func (s *Socket) acquireToken(ctx exec.Context, t *host.Thread, dir int) error {
 		mTokenTakeover.Inc()
 		s.flow.Takeover()
 		op := obs.BeginOp(s.lib.H.Name, int64(s.lib.P.PID), obs.OpTakeover, ctx.Now())
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(ctx.Now(), "core", "token_takeover",
-				telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
-		}
 		// Slow path: ask the monitor to arbitrate (§4.1.1). FIFO and
 		// starvation-free: the monitor keeps the (deduplicated) waiting
 		// list; Aux tells it whom to revoke from.
@@ -546,10 +541,6 @@ func (s *Socket) resetErr(ctx exec.Context, dir int) error {
 		mResets.Inc()
 		s.flow.NoteReset()
 		obs.Trigger(obs.TrigReset, s.lib.H.Clk.Now(), "ECONNRESET on "+s.lib.H.Name)
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(ctx.Now(), "core", "reset",
-				telemetry.A("qid", int64(s.side.QID)), telemetry.A("dir", int64(dir)))
-		}
 		s.raiseHUP(ctx)
 		return ECONNRESET
 	}
@@ -588,7 +579,10 @@ func (s *Socket) Close(ctx exec.Context, t *host.Thread) error {
 	if s.side.Refs.Add(-1) > 0 {
 		return nil
 	}
+	// The flow row outlives the socket (sdstat lists closed rows); drop
+	// its probe so the row no longer pins the rings and the libsd.
 	s.flow.SetState(obs.FlowClosed)
+	s.flow.SetProbe(nil)
 	s.Shutdown(ctx, t, DirSend)
 	s.Shutdown(ctx, t, DirRecv)
 	return nil

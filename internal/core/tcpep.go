@@ -11,7 +11,6 @@ import (
 	"socksdirect/internal/obs"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // tcpEP is the mid-stream kernel-TCP fallback endpoint (§4.5.3). When a
@@ -351,10 +350,6 @@ func (l *Libsd) onDegraded(ctx exec.Context, m *ctlmsg.Msg) {
 		any.flow.SetTransport(ctlmsg.TransportTCP)
 		any.flow.SetState(obs.FlowDegraded)
 		obs.Trigger(obs.TrigDegraded, l.H.Clk.Now(), "rescue TCP installed on "+l.H.Name)
-		if telemetry.Trace.Enabled() {
-			telemetry.Trace.Emit(l.H.Clk.Now(), "core", "degraded",
-				telemetry.A("qid", int64(m.QID)))
-		}
 	}
 	l.mu.Lock()
 	var olds []*rdmaEP

@@ -9,7 +9,6 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/mem"
 	"socksdirect/internal/rdma"
-	"socksdirect/internal/telemetry"
 )
 
 // zcPool is the receiver-side pinned page pool for inter-host zero copy
@@ -371,10 +370,6 @@ func (s *Socket) RecvVA(ctx exec.Context, t *host.Thread, addr mem.VAddr, n int)
 				return 0, err
 			}
 			mZCRemaps.Inc()
-			if telemetry.Trace.Enabled() {
-				telemetry.Trace.Emit(ctx.Now(), "core", "zc_remap",
-					telemetry.A("pages", int64(len(z.ids))))
-			}
 			if !z.intra && s.side.LocalPool != nil {
 				// The received frames now belong to the application; put
 				// fresh pinned pages into their slots and hand the slots

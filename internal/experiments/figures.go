@@ -5,7 +5,6 @@ import (
 
 	sd "socksdirect"
 	"socksdirect/internal/exec"
-	"socksdirect/internal/trace"
 )
 
 // MsgSizes is the x axis of Figures 7 and 8.
@@ -41,19 +40,19 @@ func roundsFor(size int) int {
 
 // Fig7 regenerates Figure 7: intra-host single-core throughput and latency
 // across message sizes for every system.
-func Fig7() (tput, lat []*trace.Series) { return figure(true) }
+func Fig7() (tput, lat []*Series) { return figure(true) }
 
 // Fig8 regenerates Figure 8 (inter-host; adds raw RDMA).
-func Fig8() (tput, lat []*trace.Series) { return figure(false) }
+func Fig8() (tput, lat []*Series) { return figure(false) }
 
-func figure(intra bool) (tput, lat []*trace.Series) {
+func figure(intra bool) (tput, lat []*Series) {
 	systems := []System{SysSD, SysLinux, SysLibVMA, SysRSocket, SysSDUnopt}
 	if !intra {
 		systems = append(systems, SysRDMA)
 	}
 	for _, sys := range systems {
-		ts := &trace.Series{Name: string(sys)}
-		ls := &trace.Series{Name: string(sys)}
+		ts := &Series{Name: string(sys)}
+		ls := &Series{Name: string(sys)}
 		for _, size := range MsgSizes {
 			r := Stream(sys, size, intra, countFor(size))
 			ts.Add(float64(size), r.BytesPerSec*8/1e9) // Gbps
@@ -71,14 +70,14 @@ func figure(intra bool) (tput, lat []*trace.Series) {
 // threads on dedicated virtual cores — exactly what the paper runs on
 // physical cores, which the discrete-event scheduler reproduces on this
 // one-CPU host.
-func Fig9(intra bool, cores []int) []*trace.Series {
+func Fig9(intra bool, cores []int) []*Series {
 	systems := []System{SysSD, SysLinux, SysLibVMA, SysRSocket, SysSDUnopt}
 	if !intra {
 		systems = append(systems, SysRDMA)
 	}
-	var out []*trace.Series
+	var out []*Series
 	for _, sys := range systems {
-		s := &trace.Series{Name: string(sys)}
+		s := &Series{Name: string(sys)}
 		for _, n := range cores {
 			s.Add(float64(n), multiPair(sys, intra, n)/1e6) // M op/s
 		}
@@ -154,8 +153,8 @@ func multiPair(sys System, intra bool, n int) float64 {
 // Fig10 regenerates Figure 10: message processing latency when 1..8 server
 // processes share a single core, each serving its own client (cooperative
 // sched_yield time sharing, §4.4 challenge 3).
-func Fig10(procs []int) *trace.Series {
-	out := &trace.Series{Name: "SocksDirect"}
+func Fig10(procs []int) *Series {
+	out := &Series{Name: "SocksDirect"}
 	for _, n := range procs {
 		out.Add(float64(n), sharedCoreLatency(n)/1000) // us
 	}

@@ -71,7 +71,6 @@ func (r ObsSmokeResult) String() string {
 // then merges the rings and inspects the connect timeline.
 func ObsSmoke(rounds, chunk int) ObsSmokeResult {
 	obs.Reset()
-	obs.SetEnabled(true)
 	obs.SetArmed(false) // a clean run must not dump
 	res := ObsSmokeResult{Rounds: rounds, Chunk: chunk}
 
@@ -221,7 +220,6 @@ func (r ObsDrillResult) String() string {
 // and the stream finishes over the rescue TCP path.
 func ObsRetryDrill(rounds, chunk int) ObsDrillResult {
 	obs.Reset()
-	obs.SetEnabled(true)
 	obs.SetCooldown(1 << 62) // one dump per run: every later trigger coalesces
 	res := ObsDrillResult{Rounds: rounds, Chunk: chunk}
 

@@ -8,7 +8,6 @@ import (
 	"socksdirect/internal/host"
 	"socksdirect/internal/shm"
 	"socksdirect/internal/telemetry"
-	"socksdirect/internal/trace"
 )
 
 // Table2Row is one primitive-operation measurement with the paper's value
@@ -311,14 +310,14 @@ func measureKernelIPC(kinds ...string) []Table2Row {
 
 // RenderTable2 formats the rows paper-style.
 func RenderTable2(rows []Table2Row) string {
-	t := &trace.Table{
+	t := &Table{
 		Title:  "Table 2: round-trip latency and single-core throughput of operations",
 		Header: []string{"Operation", "Latency", "Tput", "Paper lat", "Paper tput", "Source"},
 	}
 	for _, r := range rows {
 		t.Add(r.Operation,
-			trace.Nanos(int64(r.LatencyNs)),
-			trace.Rate(r.ThroughputOps),
+			Nanos(int64(r.LatencyNs)),
+			Rate(r.ThroughputOps),
 			fmt.Sprintf("%.2fus", r.PaperLatUs),
 			fmt.Sprintf("%.1f M op/s", r.PaperTputM),
 			r.Source)
@@ -334,7 +333,7 @@ func RenderTable2(rows []Table2Row) string {
 // interrupts, remaps) straight from the instrumented stack.
 func Table4() string {
 	c := &costmodel.Default
-	t := &trace.Table{
+	t := &Table{
 		Title:  "Table 4: latency breakdown (ns; measured totals, modelled components)",
 		Header: []string{"Component", "SocksDirect", "LibVMA", "RSocket", "Linux"},
 	}
@@ -374,7 +373,7 @@ func Table4() string {
 	t.Add("Per conn: RDMA QP creation", f(c.RDMAQPCreate), na, f(c.RDMAQPCreate), na)
 	t.Add("Per conn: monitor processing", "~200", na, na, na)
 
-	tb := &trace.Table{
+	tb := &Table{
 		Title:  "Table 4b: measured event counts per system (8B ping-pong, intra + inter, 40 rounds each)",
 		Header: []string{"Counter", "SocksDirect", "LibVMA", "RSocket", "Linux"},
 	}

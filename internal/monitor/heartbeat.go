@@ -5,7 +5,7 @@ import (
 
 	"socksdirect/internal/ctlmsg"
 	"socksdirect/internal/exec"
-	"socksdirect/internal/telemetry"
+	"socksdirect/internal/obs"
 )
 
 // Inter-host monitor liveness (§4.5.4's failure matrix, host row). Each
@@ -112,10 +112,7 @@ func (m *Monitor) tickHeartbeats(ctx exec.Context) {
 			if m.hbMissed[p] == hbSuspectMiss && !m.hbSuspected[p] {
 				m.hbSuspected[p] = true
 				mHBSuspects.Inc()
-				if telemetry.Trace.Enabled() {
-					telemetry.Trace.Emit(now, "monitor", "hb_suspect",
-						telemetry.A("missed", int64(m.hbMissed[p])))
-				}
+				obs.RecordEvent(m.H.Name, 0, obs.EvHBSuspect, now)
 			}
 			if m.hbMissed[p] >= hbConfirmMiss {
 				confirm = append(confirm, p)
@@ -237,10 +234,7 @@ func (m *Monitor) hostDead(ctx exec.Context, peer string, epoch uint32, report b
 	}
 	m.mu.Unlock()
 	mHostDeadFanouts.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "host_dead",
-			telemetry.A("shards", int64(len(m.shards))))
-	}
+	obs.RecordEvent(m.H.Name, 0, obs.EvHostDead, ctx.Now())
 	for _, sh := range m.shards {
 		sh.wake()
 	}

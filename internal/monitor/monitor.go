@@ -34,7 +34,6 @@ import (
 	"socksdirect/internal/obs"
 	"socksdirect/internal/rdma"
 	"socksdirect/internal/shm"
-	"socksdirect/internal/telemetry"
 )
 
 // ctlRingCap sizes each process's per-shard control duplex.
@@ -690,10 +689,7 @@ func (m *Monitor) cleanupProcess(ctx exec.Context, pid int) {
 	m.mu.Unlock()
 
 	mCrashCleanups.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "crash_cleanup",
-			telemetry.A("pid", int64(pid)))
-	}
+	obs.RecordEvent(m.H.Name, int64(pid), obs.EvCrashCleanup, ctx.Now())
 	for _, key := range regrant {
 		m.grantNext(ctx, key)
 	}
@@ -783,14 +779,10 @@ func (m *Monitor) CrashConverged() error {
 func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, cm *ctlmsg.Msg) {
 	countCtl(cm.Kind)
 	sh.cEvents.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "ctl/"+cm.Kind.String(),
-			telemetry.A("pid", cm.PID))
-	}
 	start := ctx.Now()
 	trace, parent := cm.TraceID, cm.SpanID
 	var sid uint64
-	if trace != 0 && obs.Enabled() {
+	if trace != 0 {
 		// Allocate the dispatch span up front so messages sent from inside
 		// the handler parent to it, then record it once the duration is known.
 		sid = obs.NextSpan()
@@ -810,9 +802,6 @@ func (m *Monitor) handle(ctx exec.Context, sh *mshard, pc *procChan, cm *ctlmsg.
 			Trace: trace, Span: sid, Parent: parent, Start: start, End: end,
 			Host: m.H.Name, Hop: obs.HopMonDispatch, Kind: kind,
 		})
-	}
-	if slo := obs.SLO(); slo > 0 && end-start > slo {
-		obs.Trigger(obs.TrigSLOBreach, end, "monitor dispatch over SLO: "+ctlmsg.Kind(kind).String())
 	}
 }
 
@@ -963,14 +952,10 @@ func (m *Monitor) wakeSleepers(pid int) {
 func (m *Monitor) handleRemote(ctx exec.Context, sh *mshard, mc *mchan, cm *ctlmsg.Msg) {
 	countCtl(cm.Kind)
 	sh.cEvents.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "remote/"+cm.Kind.String(),
-			telemetry.A("port", int64(cm.Port)))
-	}
 	start := ctx.Now()
 	trace, parent := cm.TraceID, cm.SpanID
 	var sid uint64
-	if trace != 0 && obs.Enabled() {
+	if trace != 0 {
 		sid = obs.NextSpan()
 		cm.SpanID = sid
 	}
@@ -985,9 +970,6 @@ func (m *Monitor) handleRemote(ctx exec.Context, sh *mshard, mc *mchan, cm *ctlm
 			Trace: trace, Span: sid, Parent: parent, Start: start, End: end,
 			Host: m.H.Name, Hop: obs.HopPeerDispatch, Kind: kind,
 		})
-	}
-	if slo := obs.SLO(); slo > 0 && end-start > slo {
-		obs.Trigger(obs.TrigSLOBreach, end, "monitor dispatch over SLO: "+ctlmsg.Kind(kind).String())
 	}
 }
 

@@ -251,10 +251,7 @@ func (sh *mshard) sweepHostDead(ctx exec.Context, peer string) {
 	m.mu.Unlock()
 	sort.Slice(notes, func(i, j int) bool { return notes[i].qid < notes[j].qid })
 	sh.cEvents.Inc()
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(ctx.Now(), "monitor", "host_dead_sweep",
-			telemetry.A("conns_reset", int64(len(notes))))
-	}
+	obs.RecordEvent(m.H.Name, 0, obs.EvHostDeadSweep, ctx.Now())
 	for _, n := range notes {
 		pd := ctlmsg.Msg{Kind: ctlmsg.KPeerDead, QID: n.qid}
 		pd.SetHost(peer)

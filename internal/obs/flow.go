@@ -75,8 +75,9 @@ type Flow struct {
 	resets     atomic.Int64
 
 	// probe fills snapshot fields only the owning socket can read
-	// (ring occupancy high-water, current monitor epoch). Set once at
-	// registration, called under the registry lock at snapshot time.
+	// (ring occupancy high-water, current monitor epoch). Set at
+	// registration, cleared when the socket closes (closed rows report
+	// zero for both), called under the registry lock at snapshot time.
 	probe func(*FlowSnapshot)
 }
 

@@ -54,10 +54,13 @@ func MergeTrace(trace uint64) (TraceView, bool) {
 }
 
 // MergeAll merges every trace that has a closed root span, most recent
-// first.
+// first. Instant events (Trace == 0) belong to no trace and are skipped.
 func MergeAll() []TraceView {
 	byTrace := map[uint64][]Span{}
 	for _, sp := range AllSpans() {
+		if sp.Trace == 0 {
+			continue
+		}
 		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
 	}
 	var out []TraceView

@@ -6,13 +6,15 @@
 // failed operation hops app → libsd → monitor → mchan → peer monitor →
 // peer libsd; this package assigns each such operation a trace ID,
 // records one span per hop into bounded per-process rings (virtual-time
-// timestamps, zero allocation), and reconstructs end-to-end timelines
-// with a per-hop latency breakdown — the evidence base the sharded
-// monitor work (ROADMAP item 1) needs, in place of aggregate histograms.
+// timestamps, no allocation once a ring is full), and reconstructs end-to-end timelines
+// with a per-hop latency breakdown in place of aggregate histograms.
+// Monitor events that no operation covers (heartbeat suspicion, host
+// death, crash cleanup) go into the same rings as instant events.
 // The flow table is the `ss`-style view of every connection's transport
 // (SHM ring / RDMA QP / rescue TCP of §4.5.3), byte counts and failure
 // history; the flight recorder turns resets, retry exhaustion and
-// monitor restarts into self-explaining Chrome-trace dumps.
+// monitor restarts into self-explaining dumps. Dump.WriteChrome is the
+// stack's one Chrome trace_event exporter.
 package obs
 
 import (
@@ -27,20 +29,6 @@ var (
 	mSpans   = telemetry.C(telemetry.ObsSpans)
 	mDropped = telemetry.C(telemetry.ObsDropped)
 )
-
-// enabled gates span recording. Tracing is on by default — recording is
-// allocation-free and control-plane operations are rare next to data-path
-// ops — and can be switched off to measure the instrumentation itself.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns span recording on or off. The flow table is not
-// gated: it is plain atomic accounting and sdstat must work regardless.
-func SetEnabled(v bool) { enabled.Store(v) }
-
-// Enabled reports whether spans are being recorded.
-func Enabled() bool { return enabled.Load() }
 
 // Op identifies which control-plane operation a trace belongs to.
 type Op uint8
@@ -94,6 +82,7 @@ const (
 	HopMchanFlight              // monitor-to-monitor RDMA channel
 	HopPeerDispatch             // remote monitor handler
 	HopShardDispatch            // router -> shard inbox (sharded monitor routing)
+	HopEvent                    // instant event outside any trace (see RecordEvent)
 )
 
 var hopNames = [...]string{
@@ -103,6 +92,7 @@ var hopNames = [...]string{
 	HopMchanFlight:   "mchan_flight",
 	HopPeerDispatch:  "peer_dispatch",
 	HopShardDispatch: "shard_dispatch",
+	HopEvent:         "event",
 }
 
 // String returns the hop's stable lower-case name.
@@ -115,8 +105,9 @@ func (h Hop) String() string {
 
 // Span is one recorded interval. Root spans (Hop == HopApp) carry the Op
 // and an OK flag set when the operation completed successfully; hop
-// spans carry the ctlmsg kind that travelled the hop. All timestamps are
-// virtual-time nanoseconds.
+// spans carry the ctlmsg kind that travelled the hop. Instant events
+// (Hop == HopEvent) have Trace == 0, Start == End and their Event code
+// in Kind. All timestamps are virtual-time nanoseconds.
 type Span struct {
 	Trace  uint64
 	Span   uint64
@@ -127,7 +118,7 @@ type Span struct {
 	PID    int64
 	Op     Op
 	Hop    Hop
-	Kind   uint8 // ctlmsg kind for hop spans
+	Kind   uint8 // ctlmsg kind for hop spans, Event code for events
 	OK     bool  // root spans: operation completed successfully
 }
 
@@ -142,25 +133,24 @@ func NextSpan() uint64 { return spanIDs.Add(1) }
 // DefaultRingCap is the per-process span ring capacity.
 const DefaultRingCap = 4096
 
-// ring is one bounded per-process span buffer: overwrite-oldest, never
-// block, never allocate after creation.
+// ring is one bounded per-process span buffer. It grows to
+// DefaultRingCap, so a process that records a handful of spans holds a
+// handful, then overwrites the oldest span: it never blocks, and once
+// full it never allocates.
 type ring struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	wrapped bool
+	mu   sync.Mutex
+	buf  []Span
+	next int // oldest span once the ring is full
 }
 
 func (r *ring) record(sp Span) {
 	r.mu.Lock()
-	if r.wrapped {
+	if len(r.buf) < DefaultRingCap {
+		r.buf = append(r.buf, sp)
+	} else {
 		mDropped.Inc()
-	}
-	r.buf[r.next] = sp
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
+		r.buf[r.next] = sp
+		r.next = (r.next + 1) % DefaultRingCap
 	}
 	r.mu.Unlock()
 }
@@ -169,15 +159,9 @@ func (r *ring) record(sp Span) {
 func (r *ring) spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Span, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
 	out := make([]Span, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return append(out, r.buf[:r.next]...)
 }
 
 // ringKey addresses one process's span ring. The monitor records under
@@ -199,30 +183,25 @@ func ringFor(host string, pid int64) *ring {
 	rings.mu.Lock()
 	r := rings.m[k]
 	if r == nil {
-		r = &ring{buf: make([]Span, DefaultRingCap)}
+		r = &ring{}
 		rings.m[k] = r
 	}
 	rings.mu.Unlock()
 	return r
 }
 
-// Record stores one span into the (host, pid) ring. It is a no-op when
-// recording is disabled.
+// Record stores one span into the (host, pid) ring.
 func Record(sp Span) {
-	if !enabled.Load() {
-		return
-	}
 	ringFor(sp.Host, sp.PID).record(sp)
 	mSpans.Inc()
 }
 
 // RecordHop records one hop span for a traced message and returns the
-// new span ID to propagate as the next hop's parent. When recording is
-// disabled or the message is untraced (trace == 0) nothing is recorded
-// and parent is returned unchanged, so call sites can write the result
-// back unconditionally.
+// new span ID to propagate as the next hop's parent. When the message
+// is untraced (trace == 0) nothing is recorded and parent is returned
+// unchanged, so call sites can write the result back unconditionally.
 func RecordHop(host string, pid int64, hop Hop, kind uint8, trace, parent uint64, start, end int64) uint64 {
-	if trace == 0 || !enabled.Load() {
+	if trace == 0 {
 		return parent
 	}
 	sid := spanIDs.Add(1)
@@ -262,21 +241,14 @@ type OpSpan struct {
 	start int64
 }
 
-// BeginOp opens a root span for an operation. When recording is
-// disabled the returned OpSpan is inert (Trace == 0) and End is a no-op.
+// BeginOp opens a root span for an operation.
 func BeginOp(host string, pid int64, op Op, now int64) OpSpan {
-	if !enabled.Load() {
-		return OpSpan{}
-	}
 	return OpSpan{
 		Trace: traceIDs.Add(1),
 		Span:  spanIDs.Add(1),
 		host:  host, pid: pid, op: op, start: now,
 	}
 }
-
-// Traced reports whether the op span is live (recording was enabled).
-func (o OpSpan) Traced() bool { return o.Trace != 0 }
 
 // End records the root span. ok marks the operation as having completed
 // successfully (trace-completeness audits only consider ok roots:
@@ -290,6 +262,42 @@ func (o OpSpan) End(now int64, ok bool) {
 		Start: o.start, End: now,
 		Host: o.host, PID: o.pid,
 		Op: o.op, Hop: HopApp, OK: ok,
+	})
+}
+
+// Event names an instant monitor event that no operation span covers.
+type Event uint8
+
+// Instant events, recorded as HopEvent spans.
+const (
+	EvHBSuspect     Event = iota + 1 // a peer missed enough heartbeats to be suspected
+	EvHostDead                       // a peer host was declared dead (fan-out start)
+	EvHostDeadSweep                  // one shard reset its connections to a dead host
+	EvCrashCleanup                   // the monitor reclaimed a crashed process's state
+)
+
+var eventNames = [...]string{
+	EvHBSuspect:     "hb_suspect",
+	EvHostDead:      "host_dead",
+	EvHostDeadSweep: "host_dead_sweep",
+	EvCrashCleanup:  "crash_cleanup",
+}
+
+// String returns the event's stable lower-case name.
+func (e Event) String() string {
+	if int(e) < len(eventNames) && eventNames[e] != "" {
+		return eventNames[e]
+	}
+	return "unknown"
+}
+
+// RecordEvent records an instant event at virtual time now on the
+// (host, pid) track. Monitor-wide events use PID 0; per-process ones
+// (crash cleanup) use the affected process's PID.
+func RecordEvent(host string, pid int64, ev Event, now int64) {
+	Record(Span{
+		Span: spanIDs.Add(1), Start: now, End: now,
+		Host: host, PID: pid, Hop: HopEvent, Kind: uint8(ev),
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"socksdirect/internal/ctlmsg"
-	"socksdirect/internal/telemetry"
 )
 
 // TestRingOverflowDropsOldest: the span ring must retain exactly the last
@@ -69,43 +68,28 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestDisabledRecordingAllocFree: with tracing off, the hot-path entry
-// points must not allocate (the pingpong bench rides on this).
-func TestDisabledRecordingAllocFree(t *testing.T) {
-	Reset()
-	defer Reset()
-	SetEnabled(false)
-	defer SetEnabled(true)
-	allocs := testing.AllocsPerRun(1000, func() {
-		op := BeginOp("h", 1, OpConnect, 10)
-		RecordHop("h", 1, HopProcRing, 1, op.Trace, op.Span, 10, 20)
-		op.End(30, true)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled tracing allocates %.1f per op, want 0", allocs)
-	}
-	// Flow accounting is always on and must be alloc-free too.
-	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h", 0)
-	allocs = testing.AllocsPerRun(1000, func() {
-		f.AddTx(64)
-		f.AddRx(64)
-	})
-	if allocs != 0 {
-		t.Fatalf("flow accounting allocates %.1f per op, want 0", allocs)
-	}
-}
-
-// TestEnabledRecordingAllocFree: recording itself writes into the
-// preallocated ring — steady-state span recording is alloc-free as well.
+// TestEnabledRecordingAllocFree: once a ring is full, recording
+// overwrites in place, so steady-state hop and instant-event recording
+// are alloc-free, and so is the always-on flow accounting on the data
+// path.
 func TestEnabledRecordingAllocFree(t *testing.T) {
 	Reset()
 	defer Reset()
-	RecordHop("h", 1, HopProcRing, 1, 1, 0, 0, 1) // warm up: create the ring
-	allocs := testing.AllocsPerRun(1000, func() {
-		RecordHop("h", 1, HopProcRing, 1, 1, 0, 10, 20)
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled hop recording allocates %.1f per op, want 0", allocs)
+	for i := 0; i < DefaultRingCap; i++ { // warm up: fill the ring
+		RecordHop("h", 1, HopProcRing, 1, 1, 0, 0, 1)
+	}
+	f := RegisterFlow(FlowKey{Host: "h", PID: 1, QID: 9}, "h", 0)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"hop", func() { RecordHop("h", 1, HopProcRing, 1, 1, 0, 10, 20) }},
+		{"event", func() { RecordEvent("h", 1, EvCrashCleanup, 30) }},
+		{"flow", func() { f.AddTx(64); f.AddRx(64) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
+			t.Errorf("%s recording allocates %.1f per op, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -237,64 +221,69 @@ func TestRecorderCooldown(t *testing.T) {
 }
 
 // TestDumpChromeFormat: the Chrome trace output must be valid JSON with
-// one event per span plus thread-name metadata.
+// one "X" event per span, one "i" event per instant event and one "M"
+// thread-name record per track — including for an empty dump.
 func TestDumpChromeFormat(t *testing.T) {
-	Reset()
-	defer Reset()
-	Record(Span{Trace: 1, Span: 1, Start: 100, End: 400, Host: "hostA", PID: 3, Hop: HopApp, Op: OpConnect, OK: true})
-	Record(Span{Trace: 1, Span: 2, Parent: 1, Start: 120, End: 150, Host: "hostA", PID: 0, Hop: HopMonDispatch, Kind: 1})
-	d := ForceDump(TrigReset, 500, "test")
-	var buf bytes.Buffer
-	if err := d.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		Reason      string           `json:"reason"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if doc.Reason != "reset" {
-		t.Fatalf("reason = %q", doc.Reason)
-	}
-	var x, m int
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			x++
-		case "M":
-			m++
-		}
-	}
-	if x != 2 || m != 2 {
-		t.Fatalf("chrome trace has %d X events and %d M events, want 2 and 2", x, m)
-	}
-	buf.Reset()
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"reason": "reset"`)) {
-		t.Fatalf("plain JSON dump missing reason:\n%s", buf.String())
-	}
-}
-
-// TestSLOConfig: the SLO is stored and cleared through the accessors
-// (the monitor reads it on every dispatch).
-func TestSLOConfig(t *testing.T) {
-	Reset()
-	defer Reset()
-	if SLO() != 0 {
-		t.Fatal("SLO not zero after Reset")
-	}
-	SetSLO(250_000)
-	if SLO() != 250_000 {
-		t.Fatalf("SLO = %d", SLO())
-	}
-	base := telemetry.C(telemetry.ObsSLOBreach).Load()
-	SetCooldown(0)
-	Trigger(TrigSLOBreach, 1, "probe")
-	if telemetry.C(telemetry.ObsSLOBreach).Load() != base+1 {
-		t.Fatal("SLO breach counter did not advance")
+	for _, tc := range []struct {
+		name       string
+		record     func()
+		x, i, m    int
+		instantTag string
+	}{
+		{"empty", func() {}, 0, 0, 0, ""},
+		{"spans", func() {
+			Record(Span{Trace: 1, Span: 1, Start: 100, End: 400, Host: "hostA", PID: 3, Hop: HopApp, Op: OpConnect, OK: true})
+			Record(Span{Trace: 1, Span: 2, Parent: 1, Start: 120, End: 150, Host: "hostA", PID: 0, Hop: HopMonDispatch, Kind: 1})
+		}, 2, 0, 2, ""},
+		{"instant", func() { RecordEvent("hostA", 0, EvHostDead, 1500) }, 0, 1, 1, "host_dead"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			Reset()
+			defer Reset()
+			tc.record()
+			d := ForceDump(TrigReset, 5000, "test")
+			var buf bytes.Buffer
+			if err := d.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+				Unit        string           `json:"displayTimeUnit"`
+				Reason      string           `json:"reason"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("chrome trace is not valid JSON: %v", err)
+			}
+			if doc.TraceEvents == nil {
+				t.Fatalf("missing traceEvents array:\n%s", buf.String())
+			}
+			if doc.Reason != "reset" || doc.Unit != "ns" {
+				t.Fatalf("reason = %q, displayTimeUnit = %q", doc.Reason, doc.Unit)
+			}
+			var x, i, m int
+			for _, ev := range doc.TraceEvents {
+				switch ev["ph"] {
+				case "X":
+					x++
+				case "i":
+					i++
+					if ev["name"] != tc.instantTag || ev["s"] != "t" || ev["ts"] != 1.5 {
+						t.Errorf("instant event = %v, want %s, thread scope, ts 1.5us", ev, tc.instantTag)
+					}
+				case "M":
+					m++
+				}
+			}
+			if x != tc.x || i != tc.i || m != tc.m {
+				t.Fatalf("chrome trace has %d X, %d i, %d M events, want %d, %d, %d", x, i, m, tc.x, tc.i, tc.m)
+			}
+			buf.Reset()
+			if err := d.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(buf.Bytes(), []byte(`"reason": "reset"`)) {
+				t.Fatalf("plain JSON dump missing reason:\n%s", buf.String())
+			}
+		})
 	}
 }

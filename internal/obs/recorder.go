@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,9 +12,8 @@ import (
 )
 
 var (
-	mDumps     = telemetry.C(telemetry.ObsDumps)
-	mTriggers  = telemetry.C(telemetry.ObsTriggers)
-	mSLOBreach = telemetry.C(telemetry.ObsSLOBreach)
+	mDumps    = telemetry.C(telemetry.ObsDumps)
+	mTriggers = telemetry.C(telemetry.ObsTriggers)
 )
 
 // TrigReason says why the flight recorder dumped.
@@ -29,7 +26,6 @@ const (
 	TrigQPRecovery                            // a QP recovery completed
 	TrigDegraded                              // rescue TCP installed
 	TrigMonitorRestart                        // monitor came back in a new epoch
-	TrigSLOBreach                             // monitor dispatch exceeded the SLO
 	TrigManual                                // ForceDump from a soak driver or CLI
 	TrigOverloadShed                          // bounded queue shed work under overload
 )
@@ -40,7 +36,6 @@ var trigNames = [...]string{
 	TrigQPRecovery:      "qp_recovery",
 	TrigDegraded:        "degraded",
 	TrigMonitorRestart:  "monitor_restart",
-	TrigSLOBreach:       "slo_breach",
 	TrigManual:          "manual",
 	TrigOverloadShed:    "overload_shed",
 }
@@ -72,11 +67,9 @@ const DefaultCooldown = 50_000_000 // 50 ms virtual
 var recorder struct {
 	mu       sync.Mutex
 	sink     func(Dump)
-	dumpDir  string
 	lastDump int64 // virtual time of the last dump; -1 = never
 	armed    atomic.Bool
 	cooldown atomic.Int64
-	sloNs    atomic.Int64
 }
 
 func init() {
@@ -84,13 +77,6 @@ func init() {
 	recorder.armed.Store(true)
 	recorder.cooldown.Store(DefaultCooldown)
 }
-
-// SetSLO sets the monitor-dispatch latency SLO in virtual nanoseconds;
-// zero disables the SLO trigger.
-func SetSLO(ns int64) { recorder.sloNs.Store(ns) }
-
-// SLO returns the configured dispatch SLO (0 = disabled).
-func SLO() int64 { return recorder.sloNs.Load() }
 
 // SetCooldown sets the minimum virtual-time gap between dumps.
 func SetCooldown(ns int64) { recorder.cooldown.Store(ns) }
@@ -100,20 +86,12 @@ func SetCooldown(ns int64) { recorder.cooldown.Store(ns) }
 // their warm-up, then re-arm.
 func SetArmed(v bool) { recorder.armed.Store(v) }
 
-// SetSink routes dumps to fn instead of (or in addition to) the dump
-// directory. Tests use it to observe dumps in-process.
+// SetSink routes every delivered dump to fn. Soak drivers and tests use
+// it to observe dumps in-process; callers that want a file write one with
+// WriteChrome.
 func SetSink(fn func(Dump)) {
 	recorder.mu.Lock()
 	recorder.sink = fn
-	recorder.mu.Unlock()
-}
-
-// SetDumpDir makes the recorder write each dump to
-// <dir>/sd-flight-<reason>-<at>.trace.json (Chrome trace format).
-// Empty disables file output.
-func SetDumpDir(dir string) {
-	recorder.mu.Lock()
-	recorder.dumpDir = dir
 	recorder.mu.Unlock()
 }
 
@@ -122,9 +100,6 @@ func SetDumpDir(dir string) {
 // the return value says whether a dump was produced.
 func Trigger(reason TrigReason, now int64, note string) bool {
 	mTriggers.Inc()
-	if reason == TrigSLOBreach {
-		mSLOBreach.Inc()
-	}
 	if !recorder.armed.Load() {
 		return false
 	}
@@ -167,17 +142,9 @@ func deliver(d Dump) {
 	mDumps.Inc()
 	recorder.mu.Lock()
 	sink := recorder.sink
-	dir := recorder.dumpDir
 	recorder.mu.Unlock()
 	if sink != nil {
 		sink(d)
-	}
-	if dir != "" {
-		name := fmt.Sprintf("sd-flight-%s-%d.trace.json", d.Name, d.At)
-		if f, err := os.Create(filepath.Join(dir, name)); err == nil {
-			_ = d.WriteChrome(f)
-			_ = f.Close()
-		}
 	}
 }
 
@@ -185,12 +152,10 @@ func deliver(d Dump) {
 func resetRecorder() {
 	recorder.mu.Lock()
 	recorder.sink = nil
-	recorder.dumpDir = ""
 	recorder.lastDump = -1
 	recorder.mu.Unlock()
 	recorder.armed.Store(true)
 	recorder.cooldown.Store(DefaultCooldown)
-	recorder.sloNs.Store(0)
 }
 
 // WriteJSON serializes the dump as plain JSON (sdstat -json, CI diffs).
@@ -216,6 +181,17 @@ type chromeSpan struct {
 	Args  map[string]uint64 `json:"args,omitempty"`
 }
 
+// chromeInstant is one thread-scoped "i" (instant) event.
+type chromeInstant struct {
+	Name  string  `json:"name"`
+	Cat   string  `json:"cat"`
+	Phase string  `json:"ph"`
+	Scope string  `json:"s"`
+	TS    float64 `json:"ts"` // microseconds
+	PID   int     `json:"pid"`
+	TID   int     `json:"tid"`
+}
+
 type chromeMeta struct {
 	Name  string            `json:"name"`
 	Phase string            `json:"ph"`
@@ -226,8 +202,9 @@ type chromeMeta struct {
 
 // WriteChrome serializes the dump's spans as Chrome trace_event JSON
 // (open in chrome://tracing or Perfetto): one track per (host, process),
-// spans as complete events with trace/span IDs in args. The flow table
-// rides along as instant events at the dump timestamp.
+// spans as complete events with trace/span IDs in args, and HopEvent
+// spans as instant events named after their Event. The flow table is
+// not written; WriteJSON carries it.
 func (d *Dump) WriteChrome(w io.Writer) error {
 	type track struct {
 		host string
@@ -263,6 +240,14 @@ func (d *Dump) WriteChrome(w io.Writer) error {
 		})
 	}
 	for _, sp := range d.Spans {
+		tid := tids[track{sp.Host, sp.PID}]
+		if sp.Hop == HopEvent {
+			out = append(out, chromeInstant{
+				Name: Event(sp.Kind).String(), Cat: "obs", Phase: "i", Scope: "t",
+				TS: float64(sp.Start) / 1e3, PID: 1, TID: tid,
+			})
+			continue
+		}
 		name := sp.Hop.String()
 		if sp.Hop == HopApp {
 			name = "op:" + sp.Op.String()
@@ -271,7 +256,7 @@ func (d *Dump) WriteChrome(w io.Writer) error {
 			Name: name, Cat: "obs", Phase: "X",
 			TS:  float64(sp.Start) / 1e3,
 			Dur: float64(sp.End-sp.Start) / 1e3,
-			PID: 1, TID: tids[track{sp.Host, sp.PID}],
+			PID: 1, TID: tid,
 			Args: map[string]uint64{
 				"trace": sp.Trace, "span": sp.Span, "parent": sp.Parent,
 				"kind": uint64(sp.Kind),

@@ -479,10 +479,6 @@ func (qp *QP) onTimeout() {
 		return
 	}
 	// go-back-N: retransmit everything unacked.
-	if telemetry.Trace.Enabled() {
-		telemetry.Trace.Emit(qp.nic.clk.Now(), "rdma", "retransmit",
-			telemetry.A("qpn", int64(qp.qpn)), telemetry.A("inflight", int64(len(qp.inflight))))
-	}
 	for _, p := range qp.inflight {
 		p.ref() // each retransmitted copy carries its own fabric reference
 		qp.port.Send(p, len(p.payload))

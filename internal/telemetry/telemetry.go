@@ -1,8 +1,8 @@
-// Package telemetry is the stack-wide observability core: atomic counters,
+// Package telemetry is the stack-wide metrics core: atomic counters,
 // gauges and log-bucketed distributions behind a hierarchical named
-// registry, plus a bounded structured event tracer (tracer.go). Every layer
-// of the reproduction — shm rings, RDMA QPs, token arbitration, the
-// monitor control plane, the simulated kernel — increments metrics here, so
+// registry (spans and events live in internal/obs). Every layer of the
+// reproduction — shm rings, RDMA QPs, token arbitration, the monitor
+// control plane, the simulated kernel — increments metrics here, so
 // sdbench can *measure* the paper's overhead attributions (Tables 3–4)
 // instead of asserting them from the cost model.
 //
@@ -12,9 +12,7 @@
 //     package (including shm and mem at the bottom of the stack) may use it;
 //   - allocation-free on the hot path: metric handles are resolved once
 //     (package-level vars at the instrumentation site) and mutation is one
-//     or two atomic operations;
-//   - disableable: SetEnabled(false) turns every mutation into a single
-//     atomic flag load, for benchmarking the instrumentation itself.
+//     or two atomic operations.
 //
 // Metric names are slash-separated paths, e.g. "sd/shm/ring/credit_returns"
 // (see names.go for the registered namespace). Snapshot/Diff give
@@ -31,34 +29,16 @@ import (
 	"sync/atomic"
 )
 
-// on is the global kill switch. Metrics default to enabled; the registry
-// stays correct either way (disabled mutations are simply dropped).
-var on atomic.Bool
-
-func init() { on.Store(true) }
-
-// SetEnabled toggles all metric mutation globally.
-func SetEnabled(v bool) { on.Store(v) }
-
-// Enabled reports whether metrics are being recorded.
-func Enabled() bool { return on.Load() }
-
 // Counter is a monotonically increasing event count.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
-	if !on.Load() {
-		return
-	}
 	c.v.Add(1)
 }
 
 // Add adds n (n must be >= 0 for the value to stay monotonic).
 func (c *Counter) Add(n int64) {
-	if !on.Load() {
-		return
-	}
 	c.v.Add(n)
 }
 
@@ -73,18 +53,12 @@ type Gauge struct{ v, hw atomic.Int64 }
 
 // Set stores v and raises the high-water mark if exceeded.
 func (g *Gauge) Set(v int64) {
-	if !on.Load() {
-		return
-	}
 	g.v.Store(v)
 	g.raise(v)
 }
 
 // Add adjusts the level by d and returns the new value.
 func (g *Gauge) Add(d int64) int64 {
-	if !on.Load() {
-		return g.v.Load()
-	}
 	v := g.v.Add(d)
 	g.raise(v)
 	return v
@@ -145,9 +119,6 @@ func bucketMid(idx int) int64 {
 
 // Observe records one value (negative values clamp to zero).
 func (d *Distribution) Observe(v int64) {
-	if !on.Load() {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}

@@ -207,31 +207,6 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
-func TestDisabledFastPath(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("t/ops")
-	g := r.Gauge("t/depth")
-	d := r.Distribution("t/size")
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() true after SetEnabled(false)")
-	}
-	c.Inc()
-	c.Add(5)
-	g.Set(9)
-	g.Add(2)
-	d.Observe(64)
-	if c.Load() != 0 || g.Load() != 0 || g.High() != 0 || d.Count() != 0 {
-		t.Fatal("disabled metrics still mutated")
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Load() != 1 {
-		t.Fatal("re-enable did not restore recording")
-	}
-}
-
 func TestSnapshotFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t/zero")
@@ -257,26 +232,10 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterIncDisabled(b *testing.B) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkDistributionObserve(b *testing.B) {
 	var d Distribution
 	for i := 0; i < b.N; i++ {
 		d.Observe(int64(i))
-	}
-}
-
-func BenchmarkTracerEmitDisabled(b *testing.B) {
-	tr := NewTracer(16)
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "c", "e")
 	}
 }
 
