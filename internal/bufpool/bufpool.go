@@ -8,7 +8,7 @@
 // frame is dropped or delivered (internal/fabric), and libsd borrows
 // copy scratch for the §4.3 zero-copy bookkeeping (internal/core).
 //
-// Buffers are handed out by size class from sync.Pools. A Buf carries a
+// Buffers are handed out by size class from free lists. A Buf carries a
 // reference count so one payload can be held by several owners at once —
 // the go-back-N retransmit window and every in-flight copy of the frame
 // on the wire — and returns to its class pool exactly when the last
@@ -48,7 +48,52 @@ var classSizes = [...]int{64, 256, 1024, 4096, 16384, 65536}
 // numClasses is exported for boundary tests.
 const numClasses = len(classSizes)
 
-var classes [numClasses]sync.Pool
+var classes [numClasses]FreeList[Buf, *Buf]
+
+// FreeList is a mutex-guarded LIFO of recycled objects, the recycler
+// behind every pooled object on the data path (buffers here, RDMA
+// packets, fabric deliveries). The list is intrusive — each object
+// embeds a Link — so Put never allocates, and once the list holds the
+// peak number of objects in use, Get never misses. The simulator runs
+// one thread at a time, so the mutex is uncontended. sync.Pool does not
+// give that guarantee: its per-P caches allocate whenever the
+// simulator's running goroutine lands on a different P than the one that
+// released the object (a miss calls New; a Put can grow a fresh per-P
+// queue), and a garbage collection empties them.
+type FreeList[T any, P linked[T]] struct {
+	mu   sync.Mutex
+	head P
+}
+
+// Link is embedded by every object kept on a FreeList.
+type Link[P any] struct{ next P }
+
+func (l *Link[P]) link() *Link[P] { return l }
+
+type linked[T any] interface {
+	*T
+	link() *Link[*T]
+}
+
+// Get pops a recycled object, or returns nil when the list is empty.
+func (l *FreeList[T, P]) Get() P {
+	l.mu.Lock()
+	x := l.head
+	if x != nil {
+		l.head = x.link().next
+		x.link().next = nil
+	}
+	l.mu.Unlock()
+	return x
+}
+
+// Put returns x for reuse. The caller must hold no other reference.
+func (l *FreeList[T, P]) Put(x P) {
+	l.mu.Lock()
+	x.link().next = l.head
+	l.head = x
+	l.mu.Unlock()
+}
 
 // Buf is a pooled, reference-counted byte buffer. B aliases the pooled
 // backing array and is sized to the Get request; cap(B) is the class
@@ -58,6 +103,7 @@ type Buf struct {
 	B     []byte
 	refs  atomic.Int32
 	class int8 // -1: oversize, owned by the GC
+	Link[*Buf]
 }
 
 // Get returns a buffer with len(B) == n holding one reference. The
@@ -74,7 +120,7 @@ func Get(n int) *Buf {
 		b.refs.Store(1)
 		return b
 	}
-	b, _ := classes[ci].Get().(*Buf)
+	b := classes[ci].Get()
 	if b == nil {
 		mMisses.Inc()
 		b = &Buf{B: make([]byte, classSizes[ci]), class: int8(ci)}

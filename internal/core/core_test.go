@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -565,51 +566,54 @@ func TestZeroCopyIntraHost(t *testing.T) {
 }
 
 func TestZeroCopyInterHost(t *testing.T) {
-	w := newWorld(t)
-	monitor.Peer(w.ma, w.mb)
-	sp, sl := proc(t, w.b, "server", 0)
-	cp, clib := proc(t, w.a, "client", 0)
-	const n = 32 * 1024
+	for _, n := range []int{32 * 1024, 64 * 1024} {
+		t.Run(fmt.Sprintf("%dKiB", n/1024), func(t *testing.T) {
+			w := newWorld(t)
+			monitor.Peer(w.ma, w.mb)
+			sp, sl := proc(t, w.b, "server", 0)
+			cp, clib := proc(t, w.a, "client", 0)
 
-	payload := make([]byte, n)
-	rand.New(rand.NewSource(5)).Read(payload)
-	var got []byte
-	sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
-		lst, _ := sl.ListenOn(ctx, th, 7008)
-		s, _, err := lst.Accept(ctx)
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		dst := sl.P.AS.Alloc(n)
-		rec := 0
-		for rec < n {
-			m, err := s.RecvVA(ctx, th, dst+mem.VAddr(rec), n-rec)
-			if err != nil {
-				t.Errorf("recvVA: %v", err)
-				return
+			payload := make([]byte, n)
+			rand.New(rand.NewSource(5)).Read(payload)
+			var got []byte
+			sp.Spawn("srv", func(ctx exec.Context, th *host.Thread) {
+				lst, _ := sl.ListenOn(ctx, th, 7008)
+				s, _, err := lst.Accept(ctx)
+				if err != nil {
+					t.Errorf("accept: %v", err)
+					return
+				}
+				dst := sl.P.AS.Alloc(n)
+				rec := 0
+				for rec < n {
+					m, err := s.RecvVA(ctx, th, dst+mem.VAddr(rec), n-rec)
+					if err != nil {
+						t.Errorf("recvVA: %v", err)
+						return
+					}
+					rec += m
+				}
+				got = make([]byte, n)
+				sl.P.AS.Read(dst, got)
+			})
+			cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
+				ctx.Sleep(10_000)
+				s, _, err := clib.Connect(ctx, th, "hostB", 7008)
+				if err != nil {
+					t.Errorf("connect: %v", err)
+					return
+				}
+				src := clib.P.AS.Alloc(n)
+				clib.P.AS.Write(ctx, src, payload)
+				if _, err := s.SendVA(ctx, th, src, n); err != nil {
+					t.Errorf("sendVA: %v", err)
+				}
+			})
+			w.sim.Run()
+			if !bytes.Equal(got, payload) {
+				t.Fatal("zero-copy inter-host payload corrupted")
 			}
-			rec += m
-		}
-		got = make([]byte, n)
-		sl.P.AS.Read(dst, got)
-	})
-	cp.Spawn("cli", func(ctx exec.Context, th *host.Thread) {
-		ctx.Sleep(10_000)
-		s, _, err := clib.Connect(ctx, th, "hostB", 7008)
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		src := clib.P.AS.Alloc(n)
-		clib.P.AS.Write(ctx, src, payload)
-		if _, err := s.SendVA(ctx, th, src, n); err != nil {
-			t.Errorf("sendVA: %v", err)
-		}
-	})
-	w.sim.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("zero-copy inter-host payload corrupted")
+		})
 	}
 }
 

@@ -286,15 +286,20 @@ func (s *Socket) Send(ctx exec.Context, t *host.Thread, data []byte) (int, error
 		return 0, ErrShutdown
 	}
 	s.flushSlotReturns(ctx)
-	if b, ok := s.ep.(burster); ok && len(data) > maxInline {
+	if len(data) > maxInline {
 		// A multi-chunk send is a batch in disguise: stage all chunks and
 		// ring the doorbell once (burstEnd publishes; the explicit kick
 		// wakes a receiver that parked while the bytes were invisible).
-		b.burstBegin()
-		defer func() {
-			b.burstEnd(ctx)
-			s.ep.kick(ctx)
-		}()
+		// The size test comes first so a small send skips the interface
+		// assertion: its runtime type-assert cache fills at random and
+		// can allocate mid-stream.
+		if b, ok := s.ep.(burster); ok {
+			b.burstBegin()
+			defer func() {
+				b.burstEnd(ctx)
+				s.ep.kick(ctx)
+			}()
+		}
 	}
 	total := 0
 	for len(data) > 0 {

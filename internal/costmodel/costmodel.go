@@ -6,10 +6,11 @@
 // doorbell/DMA/wire time, page-table manipulation, interrupt delivery and
 // process wakeup.
 //
-// Pure-software costs (ring buffer operations, locks, memory copies) are
-// NOT in this table: the real implementations run and take real time. The
-// table is only consulted where real hardware would act in place of
-// software, or where the simulated kernel must be as slow as a real one.
+// Pure-software mechanisms (ring buffers, locks, memory copies) run for
+// real, but virtual time only advances through charges, so the table
+// also carries their calibrated costs (RingOp, SpinlockOp, PageCopy4K).
+// What the Go code itself costs in wall time is measured separately, by
+// perfbench.
 //
 // All values are nanoseconds.
 package costmodel
@@ -39,7 +40,7 @@ type Costs struct {
 	PageMap4K         int64 // map one 4 KiB page (incl. kernel crossing + TLB shootdown share)
 	PageMapBatchFixed int64 // fixed cost of one batched remap call
 	PageMapPerPage    int64 // marginal cost per page within a batch
-	PageCopy4K        int64 // copy one 4 KiB page (charged only in Sim mode; real copies are real)
+	PageCopy4K        int64 // copy one 4 KiB page
 	CacheMiss         int64 // inter-core cache line migration
 	PageFault         int64 // minor fault (COW resolution)
 
@@ -94,8 +95,9 @@ var Default = Costs{
 }
 
 // CopyCost returns the CPU time to copy n bytes, scaled from the 4 KiB
-// page-copy calibration point. Real-mode copies take real time; this is
-// charged so Sim-mode accounts for them too.
+// page-copy calibration point. The simulator performs the copy for real
+// but charges this, so virtual time reflects the paper's hardware rather
+// than the Go copy.
 func (c *Costs) CopyCost(n int) int64 {
 	return int64(n) * c.PageCopy4K / 4096
 }

@@ -1,46 +1,24 @@
 package exec
 
-import "time"
-
-// Clock is a runtime-global time/timer facility that is safe to use from
-// any context: simulated threads, timer callbacks, or (in Real mode) plain
-// goroutines. Hardware-ish subsystems (the fabric, NIC retransmission
-// timers) capture a Clock at construction instead of borrowing a thread's
-// Context.
-type Clock interface {
-	// Now returns the current time in ns: the acting thread's local
-	// virtual time when called from a thread, the global clock otherwise.
-	Now() int64
-	// After schedules fn at Now()+d. fn runs in timer context and must
-	// not block.
-	After(d int64, fn func())
-}
-
-type simClock struct{ s *Sim }
+// Clock is the simulator's global time/timer facility. Unlike a Context
+// it is safe to use from any context: simulated threads and timer
+// callbacks alike. Hardware-ish subsystems (the fabric, NIC
+// retransmission timers) capture a Clock at construction instead of
+// borrowing a thread's Context.
+type Clock struct{ s *Sim }
 
 // Clock returns the simulator's global clock.
-func (s *Sim) Clock() Clock { return simClock{s} }
+func (s *Sim) Clock() Clock { return Clock{s} }
 
-func (c simClock) Now() int64 { return c.s.curTime() }
+// Now returns the current time in ns: the acting thread's local virtual
+// time when called from a thread, the global clock otherwise.
+func (c Clock) Now() int64 { return c.s.curTime() }
 
-func (c simClock) After(d int64, fn func()) {
+// After schedules fn at Now()+d. fn runs in timer context and must not
+// block.
+func (c Clock) After(d int64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
 	c.s.push(event{at: c.s.curTime() + d, fn: fn})
-}
-
-type realClock struct{ r *Real }
-
-// Clock returns the wall-clock timer facility.
-func (r *Real) Clock() Clock { return realClock{r} }
-
-func (c realClock) Now() int64 { return time.Since(c.r.base).Nanoseconds() }
-
-func (c realClock) After(d int64, fn func()) {
-	if d < int64(200*time.Microsecond) {
-		fn() // sub-timer-resolution: run inline (see real.go)
-		return
-	}
-	time.AfterFunc(time.Duration(d), fn)
 }

@@ -1,55 +1,45 @@
 // Package exec provides the execution substrate that all simulated threads
 // in this repository run on. The whole stack — ring buffers, the RDMA
 // fabric, the monitor daemon, libsd itself — is written against
-// exec.Context, so the identical protocol code can run in two modes:
-//
-//   - Real mode (NewReal): threads are goroutines, Now is the wall clock,
-//     Yield is runtime.Gosched. Used by unit tests and for real wall-clock
-//     microbenchmarks on the host machine.
-//
-//   - Sim mode (NewSim): a deterministic discrete-event scheduler. Threads
-//     are goroutines that run strictly one at a time; virtual time advances
-//     only through explicit Charge/Sleep calls; threads are pinned to
-//     simulated cores whose occupancy is enforced, so N-core scalability
-//     and core time-sharing experiments are reproducible on a single
-//     physical CPU.
+// exec.Context and runs on Sim, a deterministic discrete-event scheduler
+// (NewSim). Threads are goroutines that run strictly one at a time;
+// virtual time advances only through explicit Charge/Sleep calls; threads
+// are pinned to simulated cores whose occupancy is enforced, so N-core
+// scalability and core time-sharing experiments are reproducible on a
+// single physical CPU. What the Go code itself costs in wall time is
+// measured from outside, by perfbench, on the same scheduler.
 //
 // Time is expressed in integer nanoseconds throughout.
 package exec
 
-// Thread is a handle to a simulated thread. It is valid in both modes.
+// Thread is a handle to a simulated thread. Wait for one to finish with
+// Context.Join.
 type Thread interface {
 	// Name returns the debug name given at spawn time.
 	Name() string
 	// Unpark wakes the thread if it is parked (or buffers one wakeup
-	// permit if it is not). Safe to call from any thread.
+	// permit if it is not). Safe to call from any thread or timer
+	// callback of the same Sim.
 	Unpark()
-	// Join blocks the calling thread until this thread's function
-	// returns. Join must be called via a Context belonging to the same
-	// runtime (see Context.Join).
-	done() <-chan struct{}
 }
 
-// CoreID identifies a simulated CPU core in Sim mode. Real mode ignores
-// core placement and lets the OS scheduler decide.
+// CoreID identifies a simulated CPU core.
 type CoreID int
 
 // Context is what a simulated thread uses to interact with time, the
 // scheduler, and other threads. A Context is owned by exactly one thread
 // and must not be shared across threads (spawn children instead).
 type Context interface {
-	// Now returns the current time in nanoseconds since the start of the
-	// run (virtual in Sim mode, monotonic wall clock in Real mode).
+	// Now returns the calling thread's virtual time in nanoseconds since
+	// the start of the run.
 	Now() int64
 
 	// Charge consumes d nanoseconds of CPU time on the calling thread's
-	// core. In Sim mode this advances virtual time and keeps the core
-	// busy; in Real mode it is a no-op by default (the real work already
-	// took real time) unless the context was built with spin-charging.
+	// core: it advances the thread's virtual time and keeps the core busy.
 	Charge(d int64)
 
 	// Yield cooperatively gives up the core so other runnable threads
-	// (in Sim mode, threads pinned to the same core) may run.
+	// pinned to the same core may run. It costs DefaultYieldCost.
 	Yield()
 
 	// Sleep blocks the calling thread for d nanoseconds without
@@ -77,9 +67,7 @@ type Context interface {
 
 	// After arranges for fn to run at time Now()+d without occupying any
 	// simulated core. fn must not block; it is intended for hardware
-	// timer events (packet arrival, retransmission timers). In Real mode
-	// sub-microsecond delays run inline because OS timers cannot honor
-	// them; Sim mode is exact.
+	// timer events (packet arrival, retransmission timers).
 	After(d int64, fn func())
 }
 

@@ -1,21 +1,12 @@
 package exec
 
-import (
-	"fmt"
-)
+// SimConfig is the scheduler's configuration. It has no fields: the
+// scheduler has nothing left to tune, and the type stays so that callers
+// outside this module (the perfbench benchmark) keep building.
+type SimConfig struct{}
 
-// SimConfig tunes the discrete-event scheduler.
-type SimConfig struct {
-	// YieldCost is the virtual time charged by every Yield, modelling
-	// the cost of a cooperative context switch / re-poll. Zero means
-	// DefaultYieldCost.
-	YieldCost int64
-	// MaxVirtualTime aborts the run (panics) if the virtual clock passes
-	// this bound; a guard against runaway polls. Zero means no bound.
-	MaxVirtualTime int64
-}
-
-// DefaultYieldCost approximates one empty re-poll iteration (~20 ns).
+// DefaultYieldCost is the virtual time every Yield charges: one empty
+// re-poll iteration or cooperative context switch (~20 ns).
 const DefaultYieldCost = 20
 
 // Sim is a deterministic discrete-event scheduler. Exactly one simulated
@@ -23,7 +14,6 @@ const DefaultYieldCost = 20
 // Charge, Sleep, Yield and After. Runs with the same spawn order and
 // charges are bit-for-bit reproducible.
 type Sim struct {
-	cfg      SimConfig
 	now      int64
 	seq      uint64
 	pq       eventHeap
@@ -140,21 +130,13 @@ func (s *Sim) pop() event {
 }
 
 // NewSim creates a fresh simulator.
-func NewSim(cfg SimConfig) *Sim {
-	if cfg.YieldCost == 0 {
-		cfg.YieldCost = DefaultYieldCost
-	}
+func NewSim(SimConfig) *Sim {
 	return &Sim{
-		cfg:      cfg,
 		cores:    make(map[CoreID]*simCore),
 		autoCore: 1 << 20,
 		stopped:  make(chan struct{}),
 	}
 }
-
-// Now returns the current virtual time. Only meaningful while Run is
-// executing (or after it returns, as the final time).
-func (s *Sim) Now() int64 { return s.now }
 
 func (s *Sim) core(id CoreID) *simCore {
 	c, ok := s.cores[id]
@@ -258,9 +240,6 @@ func (s *Sim) Run() int64 {
 		if e.at > s.now {
 			s.now = e.at
 		}
-		if s.cfg.MaxVirtualTime > 0 && s.now > s.cfg.MaxVirtualTime {
-			panic(fmt.Sprintf("exec: virtual time %d exceeded bound %d", s.now, s.cfg.MaxVirtualTime))
-		}
 		if e.fn != nil {
 			e.fn()
 			continue
@@ -328,7 +307,7 @@ func (c simCtx) Charge(d int64) {
 
 func (c simCtx) Yield() {
 	t := c.t
-	t.vt += t.sim.cfg.YieldCost
+	t.vt += DefaultYieldCost
 	t.sim.push(event{at: t.vt, th: t})
 	t.stop(stReady)
 }
@@ -386,15 +365,4 @@ func (t *simThread) Name() string { return t.name }
 func (t *simThread) Unpark() {
 	s := t.sim
 	s.wake(t, s.curTime())
-}
-
-func (t *simThread) done() <-chan struct{} { return t.doneCh }
-
-// AfterAt schedules a timer callback from non-thread context (e.g. a
-// subsystem wiring events before Run starts).
-func (s *Sim) AfterAt(at int64, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{at: at, fn: fn})
 }

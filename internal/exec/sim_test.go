@@ -209,20 +209,6 @@ func TestSimRoundRobinOnSharedCore(t *testing.T) {
 	}
 }
 
-func TestRealParkUnparkAndJoin(t *testing.T) {
-	r, _ := NewReal(RealConfig{})
-	var got atomic.Int64
-	th := r.Spawn("x", func(ctx Context) {
-		ctx.Park()
-		got.Store(ctx.Now())
-	})
-	th.Unpark()
-	r.Wait(th)
-	if got.Load() < 0 {
-		t.Fatal("impossible")
-	}
-}
-
 func TestWaitUntil(t *testing.T) {
 	s := NewSim(SimConfig{})
 	flag := false

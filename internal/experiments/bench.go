@@ -34,9 +34,9 @@ const BenchRTT = "sd/bench/rtt_ns"
 const benchWarm = 64
 
 // benchRefill ops run between the pre-window runtime.GC() and the m0
-// MemStats read: the GC clears sync.Pool victim caches (packet pool,
-// buffer pool), and without a refill pass the pools' one-time
-// re-population would be billed to the first measured op.
+// MemStats read: the GC empties runtime caches (the central sudog cache
+// that goroutine handoffs draw from), and without a refill pass their
+// one-time re-population would be billed to the first measured op.
 const benchRefill = 8
 
 // memWindow reads MemStats at up to three marks around two back-to-back

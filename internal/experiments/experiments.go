@@ -99,13 +99,9 @@ func newWorld() *world {
 	w.a, w.b = w.ha.H, w.hb.H
 	w.ka, w.kb = w.ha.KS, w.hb.KS
 	w.ma, w.mb = w.ha.Mon, w.hb.Mon
-	w.sim = simOf(cl)
+	w.sim = cl.Sim()
 	return w
 }
-
-// simOf digs the simulator out of the public cluster (the experiments
-// package is allowed to reach inside).
-func simOf(cl *sd.Cluster) *exec.Sim { return cl.Sim() }
 
 // PingPong measures the mean RTT of size-byte messages over the given
 // system, intra- or inter-host.

@@ -5,9 +5,8 @@
 // stack and the user-space TCP baselines share the same links so every
 // system under comparison sees the same wire.
 //
-// Delivery timing uses exec.Clock.After, so in Sim mode latencies are
-// exact virtual nanoseconds and in Real mode sub-microsecond delays
-// collapse to immediate delivery (documented in internal/exec).
+// Delivery timing uses exec.Clock.After, so latencies are exact virtual
+// nanoseconds.
 package fabric
 
 import (
@@ -15,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"socksdirect/internal/bufpool"
 	"socksdirect/internal/exec"
 	"socksdirect/internal/telemetry"
 )
@@ -207,7 +207,11 @@ func (e *Endpoint) Send(frame any, payloadBytes int) {
 	// Delivery events are pooled with a pre-bound trampoline: scheduling a
 	// frame allocates neither a closure nor a timer box, which is what
 	// keeps the per-packet fabric cost at zero steady-state allocations.
-	d := deliveryPool.Get().(*delivery)
+	d := deliveryPool.Get()
+	if d == nil {
+		d = &delivery{}
+		d.fn = d.run
+	}
 	d.peer = peer
 	d.frame = frame
 	d.payloadBytes = payloadBytes
@@ -224,17 +228,10 @@ type delivery struct {
 	payloadBytes int
 	wire         int
 	fn           func()
+	bufpool.Link[*delivery]
 }
 
-var deliveryPool sync.Pool
-
-func init() {
-	deliveryPool.New = func() any {
-		d := &delivery{}
-		d.fn = d.run
-		return d
-	}
-}
+var deliveryPool bufpool.FreeList[delivery, *delivery]
 
 func (d *delivery) run() {
 	peer, frame, payloadBytes, wire := d.peer, d.frame, d.payloadBytes, d.wire

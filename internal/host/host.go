@@ -29,7 +29,7 @@ type Host struct {
 	// dial the same listener, and the receiving monitor would drop the
 	// second SYN as a bounded-wait re-send of the first.
 	Ordinal uint64
-	RT      exec.Runtime
+	RT      *exec.Sim
 	Clk     exec.Clock
 	Costs   *costmodel.Costs
 	SHM     *shm.Registry
@@ -67,9 +67,9 @@ func (h *Host) OnProcessDeath(fn func(pid int)) {
 // depends only on host-creation order, which the sims fix.
 var hostSeq atomic.Uint64
 
-// New creates a host on the given runtime. costs may be nil for
+// New creates a host on the given simulator. costs may be nil for
 // cost-free functional tests.
-func New(name string, rt exec.Runtime, costs *costmodel.Costs, seed uint64) *Host {
+func New(name string, rt *exec.Sim, costs *costmodel.Costs, seed uint64) *Host {
 	if costs == nil {
 		costs = &costmodel.Costs{}
 	}

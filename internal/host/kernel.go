@@ -114,23 +114,3 @@ func (k *Kernel) NetSend(proto, remote string, frame any, size int) error {
 	ep.Send(f, size)
 	return nil
 }
-
-// Routes lists reachable remote hosts (tests).
-func (k *Kernel) Routes() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	seen := make(map[string]bool, len(k.netPorts))
-	out := make([]string, 0, len(k.netPorts))
-	for r := range k.netPorts {
-		seen[r] = true
-		out = append(out, r)
-	}
-	if k.fab != nil {
-		for _, r := range k.fab.Peers() {
-			if !seen[r] {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}

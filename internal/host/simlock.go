@@ -13,9 +13,7 @@ import (
 // busy period ends, then occupies it for holdNs. Under N cores hammering
 // the lock, aggregate throughput caps at 1/holdNs — which is exactly how
 // the kernel's global TCB lock flattens the Linux curve in Figure 9.
-//
-// In Real mode it degrades gracefully to charging holdNs (a no-op unless
-// spin-charging is on) around a plain mutex.
+// The mutex only guards the lock's own bookkeeping.
 type SimLock struct {
 	mu        sync.Mutex
 	busyUntil int64
@@ -29,7 +27,7 @@ type SimLock struct {
 }
 
 // Acquire blocks (in virtual time) until the lock is free, then holds it
-// for holdNs. It returns immediately in real time.
+// for holdNs.
 func (l *SimLock) Acquire(ctx exec.Context, holdNs int64) {
 	l.mu.Lock()
 	now := ctx.Now()

@@ -30,9 +30,8 @@ const (
 	QPErr
 )
 
-// DefaultRTO is the retransmission timeout. It is deliberately above the
-// Real-mode timer resolution threshold so retransmit timers never fire
-// inline with the posting call.
+// DefaultRTO is the retransmission timeout: well above an inter-host
+// round trip, so only lost packets or a silent peer trigger a retransmit.
 const DefaultRTO = 500_000 // 500 us
 
 // DefaultWindow is the go-back-N window in packets.
@@ -75,13 +74,17 @@ type packet struct {
 
 	refs atomic.Int32
 	pbuf *bufpool.Buf // backing store of payload, nil for empty payloads
+	bufpool.Link[*packet]
 }
 
-var packetPool = sync.Pool{New: func() any { return new(packet) }}
+var packetPool bufpool.FreeList[packet, *packet]
 
 // newPacket returns a zero-valued packet holding one reference.
 func newPacket() *packet {
-	p := packetPool.Get().(*packet)
+	p := packetPool.Get()
+	if p == nil {
+		p = new(packet)
+	}
 	*p = packet{}
 	p.refs.Store(1)
 	return p

@@ -10,51 +10,61 @@ import (
 	"socksdirect/internal/mem"
 )
 
+// TestPublicAPIQuickstartShape runs the package-doc session twice from
+// Defaults(): each echoes, and Run reports the same positive final
+// virtual time both times (the scheduler is deterministic).
 func TestPublicAPIQuickstartShape(t *testing.T) {
-	cl := sd.NewCluster(sd.Defaults())
-	h := cl.AddHost("alpha")
-	srv := h.NewProcess("server", 0)
-	cli := h.NewProcess("client", 1000)
+	quickstart := func() int64 {
+		cl := sd.NewCluster(sd.Defaults())
+		h := cl.AddHost("alpha")
+		srv := h.NewProcess("server", 0)
+		cli := h.NewProcess("client", 1000)
 
-	srv.Go("main", func(t2 *sd.T) {
-		ln, err := t2.Listen(80)
-		if err != nil {
-			t.Errorf("listen: %v", err)
-			return
+		srv.Go("main", func(t2 *sd.T) {
+			ln, err := t2.Listen(80)
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			c, err := ln.Accept()
+			if err != nil {
+				t.Errorf("accept: %v", err)
+				return
+			}
+			buf := make([]byte, 64)
+			n, err := c.Recv(buf)
+			if err != nil {
+				t.Errorf("recv: %v", err)
+				return
+			}
+			c.Send(bytes.ToUpper(buf[:n]))
+		})
+		var got string
+		cli.Go("main", func(t2 *sd.T) {
+			t2.Sleep(10 * sd.Microsecond)
+			c, err := t2.Dial("alpha", 80)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			if c.Fallback() {
+				t.Error("intra-host dial took the fallback path")
+			}
+			c.Send([]byte("quickstart"))
+			buf := make([]byte, 64)
+			n, _ := c.Recv(buf)
+			got = string(buf[:n])
+			c.Close()
+		})
+		end := cl.Run()
+		if got != "QUICKSTART" {
+			t.Fatalf("got %q", got)
 		}
-		c, err := ln.Accept()
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		buf := make([]byte, 64)
-		n, err := c.Recv(buf)
-		if err != nil {
-			t.Errorf("recv: %v", err)
-			return
-		}
-		c.Send(bytes.ToUpper(buf[:n]))
-	})
-	var got string
-	cli.Go("main", func(t2 *sd.T) {
-		t2.Sleep(10 * sd.Microsecond)
-		c, err := t2.Dial("alpha", 80)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		if c.Fallback() {
-			t.Error("intra-host dial took the fallback path")
-		}
-		c.Send([]byte("quickstart"))
-		buf := make([]byte, 64)
-		n, _ := c.Recv(buf)
-		got = string(buf[:n])
-		c.Close()
-	})
-	cl.Run()
-	if got != "QUICKSTART" {
-		t.Fatalf("got %q", got)
+		return end
+	}
+	first, second := quickstart(), quickstart()
+	if first <= 0 || first != second {
+		t.Fatalf("Run() = %d then %d, want the same positive virtual time", first, second)
 	}
 }
 
